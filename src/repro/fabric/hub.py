@@ -30,7 +30,6 @@ from __future__ import annotations
 import hmac
 import os
 import queue
-import socketserver
 import threading
 import time
 from collections import deque
@@ -43,6 +42,7 @@ from ..parallel.local import SerialBackend
 from .wire import (
     PROTOCOL_VERSION,
     Connection,
+    FrameServer,
     ProtocolError,
     WireCorruption,
     decode_result,
@@ -118,20 +118,6 @@ class _Node:
         self.alive = True
 
 
-class _HubHandler(socketserver.BaseRequestHandler):
-    def handle(self):  # noqa: D102 - socketserver entry point
-        self.server.hub._serve_connection(Connection(self.request))
-
-
-class _HubServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, hub: "FabricHub", host: str, port: int):
-        self.hub = hub
-        super().__init__((host, port), _HubHandler)
-
-
 class FabricHub:
     """Central scheduler for a fleet of worker-node agents."""
 
@@ -167,14 +153,9 @@ class FabricHub:
         self._closed = False
 
         self._local_queue: "queue.Queue" = queue.Queue()
-        self._server = _HubServer(self, host, port)
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="fabric-hub-server",
-            daemon=True,
-        )
-        self._server_thread.start()
+        self._server = FrameServer(
+            host, port, self._serve_connection, name="fabric-hub-server"
+        ).start()
         self._monitor_stop = threading.Event()
         self._monitor_thread = threading.Thread(
             target=self._monitor_loop, name="fabric-hub-monitor", daemon=True
@@ -189,8 +170,7 @@ class FabricHub:
 
     @property
     def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
+        return self._server.address
 
     def close(self, retire_fleet: bool = False) -> None:
         """Stop the hub.  Agents treat the plain ``shutdown`` as
@@ -204,8 +184,7 @@ class FabricHub:
             nodes = list(self._nodes.values())
             self._nodes.clear()
         self._monitor_stop.set()
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.stop()
         self._local_queue.put(None)
         for node in nodes:
             try:
@@ -313,7 +292,6 @@ class FabricHub:
         finally:
             if node is not None:
                 self._lose_node(node.node_id, reason, expect=node)
-            conn.close()
 
     def _authenticate(self, conn: Connection) -> bool:
         """Challenge-response proof of the shared secret, when one is

@@ -23,24 +23,24 @@ Tiering rules (INTERNALS.md §Distributed fabric):
 
 from __future__ import annotations
 
+import functools
 import queue
 import socket
-import socketserver
 import threading
-from typing import Optional
+from typing import List, Optional
 
 from ..cache.store import DEFAULT_MAX_BYTES, PickleStore
 from ..driver.function_master import FunctionTaskResult, result_payload_digest
 from .chaos import CacheChaos
 from .wire import (
     Connection,
+    FrameServer,
     ProtocolError,
-    decode_frame,
-    fabric_secret,
-    hmac_tag,
     pack_blob,
-    read_frame_line,
+    pack_bytes,
+    serve_requests,
     unpack_blob,
+    unpack_bytes,
 )
 
 
@@ -57,20 +57,6 @@ class NetworkBlobStore(PickleStore):
     PAYLOAD_TYPE = bytes
 
 
-class _CacheHandler(socketserver.BaseRequestHandler):
-    def handle(self):  # noqa: D102 - socketserver entry point
-        self.server.cache_service._serve_connection(Connection(self.request))
-
-
-class _CacheServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, service: "CacheServiceServer", host: str, port: int):
-        self.cache_service = service
-        super().__init__((host, port), _CacheHandler)
-
-
 class CacheServiceServer:
     """The network cache tier: a tiny content-addressed blob service.
 
@@ -83,6 +69,10 @@ class CacheServiceServer:
       ``{"ok": true, "stored": true}`` (digest-mismatched puts are
       refused, not stored)
     - ``{"op": "ping"}`` → ``{"ok": true, "entries": N}``
+
+    A keyless or unknown request is a protocol violation: it is
+    answered and the connection dropped.  Any other exception replies
+    ``{"ok": false, "reason": "error"}`` and keeps the connection.
 
     ``chaos`` (tests/CI only) deterministically corrupts response blobs
     or fails requests, to prove clients degrade instead of dying.
@@ -99,23 +89,19 @@ class CacheServiceServer:
     ):
         self.store = NetworkBlobStore(cache_dir, max_bytes=max_bytes)
         self.chaos = chaos
-        self._server = _CacheServer(self, host, port)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
+        self._server = FrameServer(
+            host,
+            port,
+            functools.partial(serve_requests, dispatch=self._replies),
             name="fabric-cache-server",
-            daemon=True,
-        )
-        self._thread.start()
+        ).start()
 
     @property
     def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
+        return self._server.address
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.stop()
 
     def __enter__(self) -> "CacheServiceServer":
         return self
@@ -123,36 +109,15 @@ class CacheServiceServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- connection loop -----------------------------------------------
+    # -- requests --------------------------------------------------------
 
-    def _serve_connection(self, conn: Connection) -> None:
+    def _replies(self, frame: dict) -> List[dict]:
         try:
-            while True:
-                frame = conn.recv()
-                if frame is None:
-                    return
-                try:
-                    reply = self._dispatch(frame)
-                except ProtocolError as exc:
-                    conn.send(
-                        {"ok": False, "reason": exc.reason, "error": str(exc)}
-                    )
-                    return  # protocol violation: drop the connection
-                except Exception as exc:  # noqa: BLE001 - never kill the thread
-                    conn.send(
-                        {"ok": False, "reason": "error", "error": repr(exc)}
-                    )
-                    continue
-                conn.send(reply)
-        except ProtocolError as exc:
-            try:
-                conn.send({"ok": False, "reason": exc.reason, "error": str(exc)})
-            except Exception:  # noqa: BLE001
-                pass
-        except OSError:
-            pass
-        finally:
-            conn.close()
+            return [self._dispatch(frame)]
+        except ProtocolError:
+            raise  # the core answers and drops the connection
+        except Exception as exc:  # noqa: BLE001 - never kill the connection
+            return [{"ok": False, "reason": "error", "error": repr(exc)}]
 
     def _dispatch(self, frame: dict) -> dict:
         op = frame.get("op")
@@ -161,6 +126,12 @@ class CacheServiceServer:
         key = str(frame.get("key", ""))
         if not key:
             raise ProtocolError("cache request without a key", reason="bad-request")
+        if "/" in key or "\\" in key or key.startswith("."):
+            # Keys name files in the store: a path must never escape it.
+            raise ProtocolError(
+                f"cache key {key!r} is not a content address",
+                reason="bad-request",
+            )
         if self.chaos is not None and self.chaos.should_fail(key):
             return {"ok": False, "reason": "unavailable", "error": "chaos"}
         if op == "cache-get":
@@ -170,57 +141,14 @@ class CacheServiceServer:
             if self.chaos is not None:
                 blob = self.chaos.maybe_corrupt(key, blob)
             reply = {"ok": True, "hit": True}
-            reply.update(pack_blob_raw(blob))
+            # Raw bytes: the server never unpickles what clients store.
+            reply.update(pack_bytes(blob))
             return reply
         if op == "cache-put":
-            blob = unpack_blob_raw(frame)
+            blob = unpack_bytes(frame)
             self.store.put(key, blob)
             return {"ok": True, "stored": True}
         raise ProtocolError(f"unknown cache op {op!r}", reason="bad-request")
-
-
-def pack_blob_raw(blob: bytes) -> dict:
-    """Like :func:`repro.fabric.wire.pack_blob` but for raw bytes the
-    caller already pickled (the server must not re-pickle blobs, or the
-    digest would cover pickle-of-pickle).  With a shared fabric secret
-    configured the fields carry the same HMAC tag :func:`pack_blob`
-    would add, so clients can authenticate cache-server responses."""
-    import base64
-    import hashlib
-
-    fields = {
-        "blob": base64.b64encode(blob).decode("ascii"),
-        "sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    key = fabric_secret()
-    if key is not None:
-        fields["hmac"] = hmac_tag(blob, key)
-    return fields
-
-
-def unpack_blob_raw(frame: dict) -> bytes:
-    import base64
-    import hashlib
-    import hmac as hmac_mod
-
-    from .wire import AuthenticationError, WireCorruption
-
-    try:
-        blob = base64.b64decode(str(frame.get("blob", "")).encode("ascii"), validate=True)
-    except Exception as exc:  # noqa: BLE001
-        raise WireCorruption(f"undecodable blob: {exc}")
-    key = fabric_secret()
-    if key is not None:
-        tag = frame.get("hmac")
-        if not isinstance(tag, str) or not hmac_mod.compare_digest(
-            tag, hmac_tag(blob, key)
-        ):
-            raise AuthenticationError(
-                "blob HMAC missing or wrong (peer lacks the fabric secret?)"
-            )
-    if hashlib.sha256(blob).hexdigest() != frame.get("sha256"):
-        raise WireCorruption("blob digest mismatch")
-    return blob
 
 
 class NetworkCacheClient:
@@ -232,7 +160,6 @@ class NetworkCacheClient:
         *,
         timeout: float = 5.0,
         fail_threshold: int = 3,
-        max_frame_bytes: Optional[int] = None,
     ):
         host, _, port = address.rpartition(":")
         if not host or not port:
@@ -240,7 +167,6 @@ class NetworkCacheClient:
         self.host, self.port = host, int(port)
         self.timeout = timeout
         self.fail_threshold = fail_threshold
-        self.max_frame_bytes = max_frame_bytes
         self.disabled = False
         self.remote_hits = 0
         self.remote_misses = 0
@@ -248,32 +174,26 @@ class NetworkCacheClient:
         self.corrupt_responses = 0
         self._consecutive_failures = 0
         self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
+        self._conn: Optional[Connection] = None
 
     # -- wire ----------------------------------------------------------
 
     def _request(self, payload: dict) -> Optional[dict]:
         """One request/reply; None on any transport trouble (counted)."""
-        import json
-
         with self._lock:
             if self.disabled:
                 return None
             try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        (self.host, self.port), timeout=self.timeout
+                if self._conn is None:
+                    self._conn = Connection(
+                        socket.create_connection(
+                            (self.host, self.port), timeout=self.timeout
+                        )
                     )
-                    self._rfile = self._sock.makefile("rb")
-                self._sock.sendall(
-                    (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-                )
-                limit = self.max_frame_bytes or 32 * 1024 * 1024
-                line = read_frame_line(self._rfile, limit)
-                if line is None:
+                self._conn.send(payload)
+                reply = self._conn.recv()
+                if reply is None:
                     raise ConnectionError("cache service closed the connection")
-                reply = decode_frame(line)
             except (OSError, ProtocolError, ValueError) as exc:
                 self._drop_connection()
                 self._note_failure(exc)
@@ -282,18 +202,9 @@ class NetworkCacheClient:
             return reply
 
     def _drop_connection(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def _note_failure(self, exc: Exception) -> None:
         self.remote_errors += 1
@@ -334,11 +245,8 @@ class NetworkCacheClient:
         return result
 
     def put(self, fingerprint: str, result: FunctionTaskResult) -> bool:
-        import pickle
-
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {"op": "cache-put", "key": fingerprint}
-        payload.update(pack_blob_raw(blob))
+        payload.update(pack_blob(result))
         reply = self._request(payload)
         return bool(reply and reply.get("ok"))
 

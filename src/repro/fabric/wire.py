@@ -1,12 +1,14 @@
-"""Framing and codecs for the fabric's JSON-lines wire protocol.
+"""Framing, codecs and the server core of the JSON-lines wire protocol.
 
-One frame per line, UTF-8 JSON objects, newline terminated — the same
-shape as the compile service's protocol, shared here so both sides use
-one hardened reader.  The reader enforces a frame-size bound (a peer
-cannot make us buffer an unbounded line), distinguishes a clean EOF from
-a connection that died mid-line, and turns malformed JSON into a typed
-:class:`ProtocolError` carrying a machine-readable ``reason`` instead of
-whatever exception ``json`` felt like raising.
+One frame per line, UTF-8 JSON objects, newline terminated.  Every TCP
+endpoint — ``warpcc serve``, the fabric hub and the cache server — and
+every client reads frames here.  The reader enforces a frame-size bound
+(a peer cannot make us buffer an unbounded line), distinguishes a clean
+EOF from a connection that died mid-line, and turns malformed JSON into
+a typed :class:`ProtocolError` carrying a machine-readable ``reason``
+instead of whatever exception ``json`` felt like raising.
+:class:`FrameServer` accepts connections for all three endpoints and
+:func:`serve_requests` is their request/reply loop.
 
 Tasks and results are pickled, base64'd, and wrapped in a frame that
 carries the blob's sha256.  Decoding re-hashes the blob before
@@ -48,8 +50,9 @@ import os
 import pickle
 import random
 import socket
+import socketserver
 import threading
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..asmlink.objformat import (
     AssembledFunction,
@@ -225,12 +228,10 @@ def _blob_digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def pack_blob(payload, secret=_ENV_SECRET) -> dict:
-    """Fields carrying an arbitrary picklable payload plus its digest.
-
-    With a shared secret configured the fields also carry an HMAC tag
-    keyed on it, proving the blob was produced by a secret holder."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+def pack_bytes(blob: bytes, secret=_ENV_SECRET) -> dict:
+    """Frame fields carrying raw bytes: base64, their sha256 and, with a
+    shared secret configured, an HMAC tag keyed on it proving the blob
+    came from a secret holder."""
     key = fabric_secret() if secret is _ENV_SECRET else secret
     fields = {
         "blob": base64.b64encode(blob).decode("ascii"),
@@ -241,16 +242,23 @@ def pack_blob(payload, secret=_ENV_SECRET) -> dict:
     return fields
 
 
-def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
-    """Decode, authenticate, digest-check, and type-check a packed blob.
+def pack_blob(payload, secret=_ENV_SECRET) -> dict:
+    """:func:`pack_bytes` over the pickle of an arbitrary payload."""
+    return pack_bytes(
+        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), secret
+    )
+
+
+def unpack_bytes(frame: dict, secret=_ENV_SECRET) -> bytes:
+    """Decode, authenticate, and digest-check the bytes of a packed blob.
 
     When a shared secret is configured the frame's HMAC is compared in
-    constant time *before* the blob is unpickled — a peer that does not
-    hold the secret cannot reach the deserializer at all.  Unpickling
-    itself goes through :func:`restricted_loads`.
+    constant time before anything else looks at the bytes.
     """
     try:
-        blob = base64.b64decode(frame["blob"].encode("ascii"), validate=True)
+        blob = base64.b64decode(
+            str(frame.get("blob", "")).encode("ascii"), validate=True
+        )
     except Exception as exc:  # noqa: BLE001 - anything here is corruption
         raise WireCorruption(f"undecodable blob: {exc}")
     key = fabric_secret() if secret is _ENV_SECRET else secret
@@ -262,12 +270,16 @@ def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
             raise AuthenticationError(
                 "blob HMAC missing or wrong (peer lacks the fabric secret?)"
             )
-    digest = _blob_digest(blob)
-    if digest != frame.get("sha256"):
-        raise WireCorruption(
-            f"blob digest mismatch: frame says {frame.get('sha256')!r}, "
-            f"content hashes to {digest!r}"
-        )
+    if _blob_digest(blob) != frame.get("sha256"):
+        raise WireCorruption("blob digest mismatch")
+    return blob
+
+
+def unpack_blob(frame: dict, expected_type: type, secret=_ENV_SECRET):
+    """:func:`unpack_bytes`, then unpickle through
+    :func:`restricted_loads` and type-check — a peer that does not hold
+    the secret cannot reach the deserializer at all."""
+    blob = unpack_bytes(frame, secret)
     try:
         payload = restricted_loads(blob)
     except WireCorruption:
@@ -322,11 +334,12 @@ def decode_result(frame: dict) -> FunctionTaskResult:
 
 
 class Connection:
-    """One fabric peer connection.
+    """One peer connection, on either side of any endpoint.
 
-    ``send`` is locked (the hub's scheduler and monitor threads both
-    write to node connections); ``recv`` is only ever called from the
-    connection's single reader thread.
+    ``max_frame_bytes`` bounds frames both ways.  ``send`` is locked
+    (the hub's scheduler and monitor threads both write to node
+    connections); ``recv`` is only ever called from the connection's
+    single reader thread.
     """
 
     def __init__(self, sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
@@ -351,15 +364,18 @@ class Connection:
             self._sock.sendall(data)
 
     def recv(self) -> Optional[dict]:
-        try:
-            line = read_frame_line(self._rfile, self.max_frame_bytes)
-        except ValueError:
-            # The file object was closed under us (shutdown, or chaos
-            # killing the link mid-read): same as a clean EOF.
-            return None
-        if line is None:
-            return None
-        return decode_frame(line)
+        """The next frame, or None at EOF.  Blank lines are skipped."""
+        while True:
+            try:
+                line = read_frame_line(self._rfile, self.max_frame_bytes)
+            except ValueError:
+                # The file object was closed under us (shutdown, or chaos
+                # killing the link mid-read): same as a clean EOF.
+                return None
+            if line is None:
+                return None
+            if line.strip():
+                return decode_frame(line)
 
     def close(self) -> None:
         # Shut the socket down BEFORE closing the buffered reader: a
@@ -386,6 +402,102 @@ class Connection:
             return f"{host}:{port}"
         except OSError:
             return "<closed>"
+
+
+# ---------------------------------------------------------------------------
+# Server core: every endpoint (warpcc serve, the fabric hub, the cache
+# server) accepts its connections here.
+# ---------------------------------------------------------------------------
+
+
+class _ThreadingServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
+
+
+class FrameServer:
+    """Accepts TCP connections and hands each to ``handle`` as a
+    :class:`Connection`, one thread per connection, closing it when
+    ``handle`` returns.
+
+    ``frame_bound()`` is read once per accepted connection and bounds
+    every frame read from and sent to that peer.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        handle: Callable[[Connection], None],
+        *,
+        frame_bound: Callable[[], int] = lambda: DEFAULT_MAX_FRAME_BYTES,
+        name: str = "frame-server",
+    ):
+        self._handle = handle
+        self._frame_bound = frame_bound
+        self._name = name
+        # socketserver calls its handler class as (sock, address, server).
+        self._server = _ThreadingServer(
+            (host, port), lambda sock, _address, _server: self._serve(sock)
+        )
+
+    @property
+    def address(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"{host}:{port}"
+
+    def _serve(self, sock: socket.socket) -> None:
+        conn = Connection(sock, self._frame_bound())
+        try:
+            self._handle(conn)
+        finally:
+            conn.close()
+
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Accept connections in the calling thread until :meth:`stop`."""
+        self._server.serve_forever(poll_interval=poll_interval)
+
+    def start(self) -> "FrameServer":
+        """Accept connections on a daemon serve thread."""
+        threading.Thread(
+            target=self.serve_forever, name=self._name, daemon=True
+        ).start()
+        return self
+
+    def stop(self) -> None:
+        """Stop accepting and close the listening socket.  Call it from
+        any thread but the serving one; open connections run on."""
+        self._server.shutdown()
+        self._server.server_close()
+
+
+def serve_requests(
+    conn: Connection, dispatch: Callable[[dict], Iterable[dict]]
+) -> None:
+    """The request/reply loop: read a frame, send each reply
+    ``dispatch`` yields for it (several for a stream), repeat.
+
+    A framing violation — including a :class:`ProtocolError` raised by
+    ``dispatch`` — gets one ``{"ok": false, "reason", "error"}`` reply
+    and ends the connection: the framing state is unknowable after it.
+    A failed send ends the connection too, at the first reply that
+    cannot be sent, so a stream never outlives its client.  Mapping
+    application errors to replies is the dispatcher's business.
+    """
+    try:
+        while True:
+            frame = conn.recv()
+            if frame is None:
+                return
+            for reply in dispatch(frame):
+                conn.send(reply)
+    except ProtocolError as exc:
+        try:
+            conn.send({"ok": False, "reason": exc.reason, "error": str(exc)})
+        except (OSError, ProtocolError):
+            pass
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------

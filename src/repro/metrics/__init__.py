@@ -15,7 +15,7 @@ from .job_gantt import (
     slot_utilization,
 )
 from .overhead import OverheadBreakdown, compute_overhead
-from .series import Figure, Series
+from .series import Figure, Series, nearest_rank
 from .speedup import Speedup, efficiency, speedup_of
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "efficiency",
     "measure_pair",
     "measure_user_program",
+    "nearest_rank",
     "profile_for",
     "render_gantt",
     "render_job_gantt",

@@ -8,8 +8,20 @@ paper's evaluation section.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile, ``q`` in [0, 1]: the ``ceil(q * n)``-th
+    smallest value (at least the first), with no interpolation.  0.0
+    for no values."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
+    return ordered[rank - 1]
 
 
 @dataclass

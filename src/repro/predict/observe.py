@@ -34,6 +34,7 @@ from typing import Dict, List, Optional
 from ..cache.fingerprint import function_fingerprint
 from ..cache.store import PickleStore
 from ..driver.function_master import FunctionTask, phase1_cached
+from ..metrics.series import nearest_rank
 
 #: recent samples kept per fingerprint (enough for a stable p90 without
 #: letting one hot function grow its entry unboundedly)
@@ -62,10 +63,7 @@ class CostObservation:
         """Nearest-rank percentile of the retained sample window."""
         if not self.samples:
             return self.ewma_s
-        ordered = sorted(self.samples)
-        rank = -(-q * len(ordered) // 1)  # ceil(q * n)
-        rank = min(len(ordered), max(1, int(rank)))
-        return ordered[rank - 1]
+        return nearest_rank(self.samples, q)
 
 
 class ObservationStore(PickleStore):

@@ -9,7 +9,6 @@ progress events before the final job document.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 from typing import Callable, Iterator, Optional, Tuple
@@ -74,30 +73,36 @@ class ServiceClient:
 
     # -- wire ----------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        from ..fabric.wire import connect_with_backoff
+    def _request_lines(self, payload: dict) -> Iterator[dict]:
+        """Send one request; yield each reply frame.
 
-        return connect_with_backoff(
+        Replies are read through the wire's bounded reader, so a huge
+        or malformed reply line raises :class:`ServiceError` carrying
+        the wire's ``reason`` instead of buffering without limit.
+        """
+        from ..fabric.wire import Connection, ProtocolError, connect_with_backoff
+        from .server import MAX_REQUEST_BYTES
+
+        sock = connect_with_backoff(
             self.host,
             self.port,
             attempts=self.connect_attempts,
             base=self.connect_backoff,
             timeout=self.timeout,
         )
-
-    def _request_lines(self, payload: dict) -> Iterator[dict]:
-        """Send one request; yield each reply line as a dict."""
-        with self._connect() as sock:
-            with sock.makefile("rwb") as stream:
-                stream.write(
-                    (json.dumps(payload) + "\n").encode("utf-8")
-                )
-                stream.flush()
-                sock.shutdown(socket.SHUT_WR)
-                for raw in stream:
-                    line = raw.strip()
-                    if line:
-                        yield json.loads(line.decode("utf-8"))
+        conn = Connection(sock, MAX_REQUEST_BYTES)
+        try:
+            conn.send(payload)
+            sock.shutdown(socket.SHUT_WR)
+            while True:
+                reply = conn.recv()
+                if reply is None:
+                    return
+                yield reply
+        except ProtocolError as error:
+            raise ServiceError(str(error), reason=error.reason) from error
+        finally:
+            conn.close()
 
     def _request(self, payload: dict) -> dict:
         """Send one request; return the single (final) reply."""

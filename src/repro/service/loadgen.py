@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..metrics.series import nearest_rank
 from ..workloads.kernels import synthetic_function
 from ..workloads.sizes import SIZE_CLASSES, lines_for
 from ..workloads.synthetic import synthetic_program
@@ -121,15 +122,6 @@ def plan_load(spec: LoadSpec) -> List[PlannedJob]:
     return plan
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not sorted_values:
-        return 0.0
-    rank = -(-q * len(sorted_values) // 1)  # ceil(q * n)
-    rank = min(len(sorted_values), max(1, int(rank)))
-    return sorted_values[rank - 1]
-
-
 @dataclass
 class LoadReport:
     """Throughput/latency outcome of one load-generation run."""
@@ -224,8 +216,6 @@ def run_load(
         per_tenant[planned.tenant] = per_tenant.get(planned.tenant, 0) + 1
     elapsed = time.monotonic() - start
 
-    latencies.sort()
-    queue_waits.sort()
     return LoadReport(
         spec_seed=spec.seed,
         jobs_planned=len(plan),
@@ -234,13 +224,13 @@ def run_load(
         jobs_rejected=rejected,
         elapsed=elapsed,
         throughput=len(latencies) / elapsed if elapsed > 0 else 0.0,
-        latency_p50=_percentile(latencies, 0.50),
-        latency_p95=_percentile(latencies, 0.95),
+        latency_p50=nearest_rank(latencies, 0.50),
+        latency_p95=nearest_rank(latencies, 0.95),
         latency_mean=(
             statistics.fmean(latencies) if latencies else 0.0
         ),
-        queue_wait_p50=_percentile(queue_waits, 0.50),
-        queue_wait_p95=_percentile(queue_waits, 0.95),
+        queue_wait_p50=nearest_rank(queue_waits, 0.50),
+        queue_wait_p95=nearest_rank(queue_waits, 0.95),
         pool_utilization=service.pool_utilization(),
         workers=service.worker_count,
         per_tenant_completed=per_tenant,
@@ -435,7 +425,6 @@ def replay_edit_session(
         digests.append(job.result.digest)
         tasks_total += job.tasks_total
         cache_served += job.cache_served
-    latencies.sort()
     manager = getattr(service, "speculation", None)
     return EditSessionReport(
         spec_seed=spec.seed,
@@ -443,8 +432,8 @@ def replay_edit_session(
         completed=len(digests),
         failed=failed,
         speculate=speculate,
-        interactive_p50=_percentile(latencies, 0.50),
-        interactive_p95=_percentile(latencies, 0.95),
+        interactive_p50=nearest_rank(latencies, 0.50),
+        interactive_p95=nearest_rank(latencies, 0.95),
         interactive_mean=(
             statistics.fmean(latencies) if latencies else 0.0
         ),

@@ -38,10 +38,9 @@ unboundedly and never silently drops a job.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import queue as queue_mod
-import socketserver
 import threading
 import time
 from collections import OrderedDict
@@ -51,6 +50,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..driver.function_master import FunctionTask, FunctionTaskResult
 from ..driver.master import ParallelCompiler
 from ..driver.results import CompilationResult
+from ..fabric.wire import FrameServer, serve_requests
 from ..lang.diagnostics import CompileError
 from ..machine.warp_array import WarpArrayModel
 from ..metrics.job_gantt import JobSpan, render_job_gantt, slot_utilization
@@ -858,187 +858,19 @@ def _job_detail(service: CompileService, job: JobRecord) -> dict:
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
-class _ServiceRequestHandler(socketserver.StreamRequestHandler):
-    """One thread per connection; a connection may issue many requests.
-
-    Framing violations — an oversized line, a stream that dies mid-line,
-    bytes that are not JSON — get one machine-readable
-    ``{"ok": false, "reason": ...}`` reply and the connection is
-    dropped; the framing state is unknowable after that, so continuing
-    to parse would be guessing.  Application errors reply with the same
-    shape but keep the connection.  Either way the handler thread
-    survives: a client can never take a worker thread down with it.
-    """
-
-    def handle(self) -> None:
-        from ..fabric.wire import ProtocolError, decode_frame, read_frame_line
-
-        while True:
-            try:
-                raw = read_frame_line(self.rfile, MAX_REQUEST_BYTES)
-            except ProtocolError as error:
-                self._reply(ok=False, error=str(error), reason=error.reason)
-                return  # framing is gone; drop the connection
-            if raw is None:
-                return  # clean EOF
-            if not raw.strip():
-                continue
-            try:
-                request = decode_frame(raw)
-            except ProtocolError as error:
-                self._reply(ok=False, error=str(error), reason=error.reason)
-                return
-            try:
-                self._dispatch(request)
-            except BrokenPipeError:  # pragma: no cover - client went away
-                return
-            except Exception as error:  # noqa: BLE001 - protocol barrier
-                self._reply(
-                    ok=False,
-                    error=f"{type(error).__name__}: {error}",
-                    reason="bad-request",
-                )
-
-    def _reply(self, **payload) -> None:
-        try:
-            self.wfile.write(
-                (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-            )
-            self.wfile.flush()
-        except (OSError, ValueError):  # pragma: no cover - client gone
-            pass
-
-    def _dispatch(self, request: dict) -> None:
-        service: CompileService = self.server.service  # type: ignore[attr-defined]
-        op = request.get("op")
-        if op == "ping":
-            self._reply(
-                ok=True, service="warpcc", protocol=PROTOCOL_VERSION
-            )
-        elif op == "submit":
-            try:
-                job_id = service.submit(
-                    request["source"],
-                    tenant=request.get("tenant", "default"),
-                    filename=request.get("filename", "<input>"),
-                    priority=request.get("priority", "normal"),
-                    opt_level=int(request.get("opt_level", 2)),
-                    cells=int(request.get("cells", 10)),
-                )
-            except AdmissionError as error:
-                self._reply(ok=False, error=str(error), reason=error.reason)
-            else:
-                self._reply(ok=True, job=job_id, state="queued")
-        elif op == "status":
-            job_id = request.get("job")
-            if job_id is None:
-                payload = {
-                    "ok": True,
-                    "stats": service.service_stats(),
-                    "jobs": service.jobs_summary(),
-                }
-                if request.get("gantt"):
-                    payload["gantt"] = service.gantt(
-                        width=int(request.get("width", 72))
-                    )
-                self._reply(**payload)
-            else:
-                try:
-                    job = service.job(job_id)
-                except KeyError as error:
-                    self._reply(
-                        ok=False, error=str(error), reason="unknown-job"
-                    )
-                    return
-                payload = {"ok": True, "job": _job_detail(service, job)}
-                if request.get("gantt"):
-                    payload["gantt"] = service.gantt(
-                        job_id, width=int(request.get("width", 72))
-                    )
-                self._reply(**payload)
-        elif op == "wait":
-            job_id = request.get("job")
-            try:
-                if request.get("stream"):
-                    index = 0
-                    while True:
-                        events, terminal = service.events_since(
-                            job_id, index, timeout=0.5
-                        )
-                        for event in events:
-                            self._reply(ok=True, event=event)
-                        index += len(events)
-                        if terminal and not events:
-                            break
-                        if terminal:
-                            # flush any events logged with the final state
-                            events, _ = service.events_since(
-                                job_id, index, timeout=0
-                            )
-                            for event in events:
-                                self._reply(ok=True, event=event)
-                            index += len(events)
-                            break
-                job = service.wait(
-                    job_id, timeout=request.get("timeout")
-                )
-            except KeyError as error:
-                self._reply(ok=False, error=str(error), reason="unknown-job")
-            except TimeoutError as error:
-                self._reply(ok=False, error=str(error), reason="timeout")
-            else:
-                self._reply(ok=True, job=_job_detail(service, job))
-        elif op == "watch":
-            source = request.get("source")
-            if source is None:
-                self._reply(
-                    ok=False,
-                    error="watch requires a source field",
-                    reason="bad-request",
-                )
-                return
-            outcome = service.watch_update(
-                source,
-                watch=str(request.get("watch", "default")),
-                filename=request.get("filename", "<watch>"),
-                opt_level=int(request.get("opt_level", 2)),
-                cells=int(request.get("cells", 10)),
-            )
-            self._reply(ok=True, **outcome)
-        elif op == "watch-status":
-            manager = service.speculation
-            self._reply(
-                ok=True,
-                enabled=manager is not None,
-                stats=manager.stats() if manager is not None else {},
-            )
-        elif op == "cancel":
-            try:
-                cancelled = service.cancel(request.get("job"))
-            except KeyError as error:
-                self._reply(ok=False, error=str(error), reason="unknown-job")
-            else:
-                self._reply(ok=True, cancelled=cancelled)
-        elif op == "shutdown":
-            drain = bool(request.get("drain", True))
-            self._reply(ok=True, draining=drain)
-            self.server.request_shutdown(drain)  # type: ignore[attr-defined]
-        else:
-            self._reply(
-                ok=False, error=f"unknown op {op!r}", reason="bad-request"
-            )
-
-
-class ServiceSocketServer(socketserver.ThreadingTCPServer):
+class ServiceSocketServer:
     """``warpcc serve``: the JSON-lines protocol endpoint.
 
     Binds localhost by default (the service trusts its peers exactly as
     much as any local compiler invocation).  ``port=0`` picks a free
     ephemeral port; read :attr:`address` after construction.
-    """
 
-    daemon_threads = True
-    allow_reuse_address = True
+    Connections, framing and the request/reply loop are the shared core
+    in :mod:`repro.fabric.wire`; this class is the table of verbs.  Each
+    verb handler yields its replies.  An exception in a handler becomes
+    an ``{"ok": false, "reason": "bad-request"}`` reply and the
+    connection stays open.
+    """
 
     def __init__(
         self,
@@ -1046,29 +878,165 @@ class ServiceSocketServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        super().__init__((host, port), _ServiceRequestHandler)
         self.service = service
         self._shutdown_drain = True
-        self._shutdown_requested = threading.Event()
+        self._verbs = {
+            "ping": self._ping,
+            "submit": self._submit,
+            "status": self._status,
+            "wait": self._wait,
+            "watch": self._watch,
+            "watch-status": self._watch_status,
+            "cancel": self._cancel,
+            "shutdown": self._shutdown,
+        }
+        self._server = FrameServer(
+            host,
+            port,
+            functools.partial(serve_requests, dispatch=self._replies),
+            frame_bound=lambda: MAX_REQUEST_BYTES,
+            name="warpcc-serve",
+        )
 
     @property
     def address(self) -> str:
-        host, port = self.server_address[:2]
-        return f"{host}:{port}"
+        return self._server.address
 
     def request_shutdown(self, drain: bool = True) -> None:
         """Ask the serve loop to stop (callable from handler threads)."""
         self._shutdown_drain = drain
-        self._shutdown_requested.set()
-        threading.Thread(target=self.shutdown, daemon=True).start()
+        threading.Thread(target=self._server.stop, daemon=True).start()
 
     def serve_until_shutdown(self) -> None:
         """Serve requests until a ``shutdown`` op (or KeyboardInterrupt),
         then drain the service and close everything."""
         try:
-            self.serve_forever(poll_interval=0.1)
+            self._server.serve_forever(poll_interval=0.1)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             pass
         finally:
-            self.server_close()
+            self._server.stop()
             self.service.close(drain=self._shutdown_drain)
+
+    # -- verbs -----------------------------------------------------------
+
+    def _replies(self, request: dict) -> Iterator[dict]:
+        op = request.get("op")
+        verb = self._verbs.get(op) if isinstance(op, str) else None
+        try:
+            if verb is None:
+                yield _refusal(f"unknown op {op!r}", "bad-request")
+            else:
+                yield from verb(request)
+        except Exception as error:  # noqa: BLE001 - protocol barrier
+            yield _refusal(f"{type(error).__name__}: {error}", "bad-request")
+
+    def _ping(self, request: dict) -> Iterator[dict]:
+        yield {"ok": True, "service": "warpcc", "protocol": PROTOCOL_VERSION}
+
+    def _submit(self, request: dict) -> Iterator[dict]:
+        try:
+            job_id = self.service.submit(
+                request["source"],
+                tenant=request.get("tenant", "default"),
+                filename=request.get("filename", "<input>"),
+                priority=request.get("priority", "normal"),
+                opt_level=int(request.get("opt_level", 2)),
+                cells=int(request.get("cells", 10)),
+            )
+        except AdmissionError as error:
+            yield _refusal(str(error), error.reason)
+        else:
+            yield {"ok": True, "job": job_id, "state": "queued"}
+
+    def _status(self, request: dict) -> Iterator[dict]:
+        service = self.service
+        job_id = request.get("job")
+        if job_id is None:
+            reply = {
+                "ok": True,
+                "stats": service.service_stats(),
+                "jobs": service.jobs_summary(),
+            }
+        else:
+            try:
+                job = service.job(job_id)
+            except KeyError as error:
+                yield _refusal(str(error), "unknown-job")
+                return
+            reply = {"ok": True, "job": _job_detail(service, job)}
+        if request.get("gantt"):
+            reply["gantt"] = service.gantt(
+                job_id, width=int(request.get("width", 72))
+            )
+        yield reply
+
+    def _wait(self, request: dict) -> Iterator[dict]:
+        service = self.service
+        job_id = request.get("job")
+        try:
+            if request.get("stream"):
+                # A failed send ends the connection (and this generator)
+                # at the first event the client is no longer there for.
+                index = 0
+                terminal = False
+                while not terminal:
+                    events, terminal = service.events_since(
+                        job_id, index, timeout=0.5
+                    )
+                    if terminal:
+                        # flush any events logged with the final state
+                        events += service.events_since(
+                            job_id, index + len(events), timeout=0
+                        )[0]
+                    for event in events:
+                        yield {"ok": True, "event": event}
+                    index += len(events)
+            job = service.wait(job_id, timeout=request.get("timeout"))
+        except KeyError as error:
+            yield _refusal(str(error), "unknown-job")
+        except TimeoutError as error:
+            yield _refusal(str(error), "timeout")
+        else:
+            yield {"ok": True, "job": _job_detail(service, job)}
+
+    def _watch(self, request: dict) -> Iterator[dict]:
+        source = request.get("source")
+        if source is None:
+            yield _refusal("watch requires a source field", "bad-request")
+            return
+        outcome = self.service.watch_update(
+            source,
+            watch=str(request.get("watch", "default")),
+            filename=request.get("filename", "<watch>"),
+            opt_level=int(request.get("opt_level", 2)),
+            cells=int(request.get("cells", 10)),
+        )
+        yield {"ok": True, **outcome}
+
+    def _watch_status(self, request: dict) -> Iterator[dict]:
+        manager = self.service.speculation
+        yield {
+            "ok": True,
+            "enabled": manager is not None,
+            "stats": manager.stats() if manager is not None else {},
+        }
+
+    def _cancel(self, request: dict) -> Iterator[dict]:
+        try:
+            cancelled = self.service.cancel(request.get("job"))
+        except KeyError as error:
+            yield _refusal(str(error), "unknown-job")
+        else:
+            yield {"ok": True, "cancelled": cancelled}
+
+    def _shutdown(self, request: dict) -> Iterator[dict]:
+        drain = bool(request.get("drain", True))
+        try:
+            yield {"ok": True, "draining": drain}
+        finally:  # the reply goes first, but a vanished client still stops us
+            self.request_shutdown(drain)
+
+
+def _refusal(error: str, reason: str) -> dict:
+    return {"ok": False, "error": error, "reason": reason}

@@ -17,7 +17,7 @@ from repro.fabric import (
     NetworkCacheClient,
     TieredCache,
 )
-from repro.fabric.netcache import pack_blob_raw
+from repro.fabric.wire import pack_bytes as pack_blob_raw
 
 SOURCE = """
 module net_mod
@@ -89,6 +89,16 @@ class TestClientServer:
         assert reply.get("reason") == "corrupt-payload"
         # Nothing was stored; the server-side store is still empty.
         assert server.store.entry_count() == 0
+
+    @pytest.mark.parametrize("key", ["../../escaped", "ab/../../x", "..\\x", ".hidden"])
+    def test_key_that_is_a_path_is_refused(self, server, client, tmp_path, key):
+        payload = {"op": "cache-put", "key": key}
+        payload.update(pack_blob_raw(b"payload"))
+        reply = client._request(payload)
+        assert reply is not None and not reply.get("ok")
+        assert reply.get("reason") == "bad-request"
+        assert server.store.entry_count() == 0
+        assert [p.name for p in tmp_path.rglob("*.pkl")] == []
 
     def test_request_without_key_drops_connection_not_server(self, server, client):
         reply = client._request({"op": "cache-get"})

@@ -20,10 +20,12 @@ from repro.fuzz.generator import config_for_size_class, generate_program
 from repro.parallel.backend import stream_task_results
 from repro.parallel.local import SerialBackend
 from repro.parallel.schedule import provided_task_costs
+from repro.metrics import nearest_rank
 from repro.parallel.supervisor import SupervisedBackend
 from repro.predict import (
     SPECULATION_TENANT,
     CostModel,
+    CostObservation,
     ObservationStore,
     SpeculationManager,
     task_fingerprint,
@@ -154,15 +156,32 @@ class TestCostModel:
         assert model.estimate_seconds("fp") == pytest.approx(1.0)
         assert model.estimate_seconds("never-seen") is None
 
-    def test_percentile_is_nearest_rank(self, tmp_path):
+    @pytest.mark.parametrize(
+        "samples, q, expected",
+        [
+            (10, 0.9, 9.0),
+            (10, 0.5, 5.0),
+            (10, 1.0, 10.0),
+            (10, 0.0, 1.0),
+            # No samples: the shared nearest-rank function has nothing
+            # to rank, and an observation falls back to its EWMA.
+            (0, 0.9, 0.0),
+        ],
+        ids=["p90", "p50", "p100", "p0", "empty"],
+    )
+    def test_percentile_is_nearest_rank(self, tmp_path, samples, q, expected):
+        values = [float(v) for v in range(1, samples + 1)]
+        assert nearest_rank(values, q) == pytest.approx(expected)
+        if not values:
+            empty = CostObservation("fp", count=2, ewma_s=3.5)
+            assert empty.percentile(q) == pytest.approx(3.5)
+            return
         model = CostModel(
             ObservationStore(str(tmp_path)), min_samples=1, window=10
         )
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+        for value in values:
             model.observe("fp", value)
-        assert model.percentile_seconds("fp", 0.9) == pytest.approx(9.0)
-        assert model.percentile_seconds("fp", 0.5) == pytest.approx(5.0)
-        assert model.percentile_seconds("fp", 1.0) == pytest.approx(10.0)
+        assert model.percentile_seconds("fp", q) == pytest.approx(expected)
 
     def test_unfingerprintable_task_falls_back_to_hint(self, tmp_path):
         model = CostModel(ObservationStore(str(tmp_path)))
