@@ -36,25 +36,37 @@ def build_download_module(
 def module_digest(module: DownloadModule) -> str:
     """Deterministic, human-readable dump of a download module."""
     lines: List[str] = [f"download-module {module.module_name}"]
+    # A section's program is one object replicated onto each of its
+    # cells: render its functions once and repeat the text per cell.
+    rendered: Dict[int, List[str]] = {}
     for cell in sorted(module.cell_programs):
         program = module.cell_programs[cell]
         lines.append(
             f"cell {cell}: section {program.section_name} "
             f"entry={program.entry} data={program.data_words}"
         )
-        for name in sorted(program.functions):
-            function = program.functions[name]
-            lines.append(
-                f"  {name}: frame@{program.frame_bases[name]} "
-                f"params=({', '.join(str(r) for r in function.param_regs)}) "
-                f"ret={function.return_bank or 'void'}"
-            )
-            for index, bundle in enumerate(function.bundles):
-                lines.append(f"    {index:4d} {bundle}")
+        body = rendered.get(id(program))
+        if body is None:
+            body = rendered[id(program)] = _program_lines(program)
+        lines.extend(body)
     if module.diagnostics_text:
         lines.append("diagnostics:")
         lines.append(module.diagnostics_text)
     return "\n".join(lines)
+
+
+def _program_lines(program: CellProgram) -> List[str]:
+    lines: List[str] = []
+    for name in sorted(program.functions):
+        function = program.functions[name]
+        lines.append(
+            f"  {name}: frame@{program.frame_bases[name]} "
+            f"params=({', '.join(str(r) for r in function.param_regs)}) "
+            f"ret={function.return_bank or 'void'}"
+        )
+        for index, bundle in enumerate(function.bundles):
+            lines.append(f"    {index:4d} {bundle}")
+    return lines
 
 
 def module_size_words(module: DownloadModule) -> int:

@@ -11,7 +11,7 @@ this descriptor to wire the external queues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..ir.instructions import Opcode
 from .objformat import CellProgram
@@ -63,16 +63,13 @@ def build_io_driver(cell_programs: Dict[int, CellProgram]) -> IODriver:
     if not cell_programs:
         raise ValueError("cannot build an I/O driver for an empty module")
     driver = IODriver()
+    # Replicated sections share one program object: count it once.
+    counted: Dict[int, Tuple[int, int]] = {}
     for cell_index, program in cell_programs.items():
-        receives = 0
-        sends = 0
-        for function in program.functions.values():
-            for bundle in function.bundles:
-                for op in bundle.all_ops():
-                    if op.op is Opcode.RECV:
-                        receives += 1
-                    elif op.op is Opcode.SEND:
-                        sends += 1
+        counts = counted.get(id(program))
+        if counts is None:
+            counts = counted[id(program)] = _io_sites(program)
+        receives, sends = counts
         driver.profiles[cell_index] = CellIOProfile(
             section_name=program.section_name,
             entry=program.entry,
@@ -82,3 +79,17 @@ def build_io_driver(cell_programs: Dict[int, CellProgram]) -> IODriver:
     driver.input_cell = min(cell_programs)
     driver.output_cell = max(cell_programs)
     return driver
+
+
+def _io_sites(program: CellProgram) -> Tuple[int, int]:
+    """(receive sites, send sites) in one cell program."""
+    receives = 0
+    sends = 0
+    for function in program.functions.values():
+        for bundle in function.bundles:
+            for op in bundle.ops.values():
+                if op.op is Opcode.RECV:
+                    receives += 1
+                elif op.op is Opcode.SEND:
+                    sends += 1
+    return receives, sends

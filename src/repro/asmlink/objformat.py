@@ -54,6 +54,10 @@ class MachineOp:
         return " ".join(parts)
 
 
+#: Functional units in their fixed printing/digest order.
+_SLOT_ORDER: Tuple[FUClass, ...] = tuple(FUClass)
+
+
 @dataclass
 class Bundle:
     """One VLIW instruction: ops keyed by the functional unit they occupy."""
@@ -73,7 +77,9 @@ class Bundle:
 
     def all_ops(self) -> List[MachineOp]:
         """Ops in a fixed slot order (deterministic for printing/digests)."""
-        return [self.ops[fu] for fu in FUClass if fu in self.ops]
+        if len(self.ops) < 2:
+            return list(self.ops.values())
+        return [self.ops[fu] for fu in _SLOT_ORDER if fu in self.ops]
 
     def __str__(self) -> str:
         if self.is_empty():

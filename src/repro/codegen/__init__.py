@@ -9,6 +9,7 @@ from .modulo import (
     emit_pipelined_loop,
     find_modulo_schedule,
     machine_schedule_edges,
+    recurrence_mii,
     resource_mii,
     try_modulo_schedule,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "emit_pipelined_loop",
     "find_modulo_schedule",
     "machine_schedule_edges",
+    "recurrence_mii",
     "resource_mii",
     "schedule_block",
     "select_function",

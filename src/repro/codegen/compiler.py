@@ -194,7 +194,7 @@ def _pipeline_one(
 
     floor = 2
     while floor <= max_ii:
-        schedule = _search_schedule(ops, edges, floor, max_ii)
+        schedule = find_modulo_schedule(ops, edges, max_ii, floor)
         if schedule is None:
             return None
         info.work_units += schedule.work_units
@@ -210,23 +210,6 @@ def _pipeline_one(
         info.pipelined_loops += 1
         info.initiation_intervals.append(result.ii)
         return result
-    return None
-
-
-def _search_schedule(ops, edges, floor, max_ii):
-    from .modulo import ModuloSchedule, resource_mii, try_modulo_schedule
-
-    work = 0
-    for ii in range(max(floor, resource_mii(ops), 2), max_ii + 1):
-        attempt = try_modulo_schedule(ops, edges, ii)
-        if attempt is None:
-            work += len(ops) * ii
-            continue
-        times, attempt_work = attempt
-        stages = max(t // ii for t in times) + 1 if times else 1
-        return ModuloSchedule(
-            ii=ii, times=times, stages=stages, work_units=work + attempt_work
-        )
     return None
 
 

@@ -161,22 +161,17 @@ def resource_mii(ops: List[MachineOp]) -> int:
     return max(counts.values(), default=1)
 
 
-def try_modulo_schedule(
-    ops: List[MachineOp],
-    edges: List[SchedEdge],
-    ii: int,
-) -> Optional[Tuple[List[int], int]]:
-    """Greedy placement in zero-distance topological order, then a full
-    verification of every edge; returns (times, work) or None."""
-    n = len(ops)
+def _distance0_dag(
+    n: int, edges: List[SchedEdge]
+) -> Tuple[List[List[SchedEdge]], Optional[List[int]]]:
+    """Successor lists of the distance-0 subgraph and a topological order
+    of it (None when that subgraph has a cycle)."""
     zero_succs: List[List[SchedEdge]] = [[] for _ in range(n)]
     indegree = [0] * n
     for edge in edges:
         if edge.distance == 0:
             zero_succs[edge.source].append(edge)
             indegree[edge.sink] += 1
-
-    # Topological order over the acyclic distance-0 subgraph.
     order: List[int] = [i for i in range(n) if indegree[i] == 0]
     head = 0
     while head < len(order):
@@ -186,7 +181,19 @@ def try_modulo_schedule(
             indegree[edge.sink] -= 1
             if indegree[edge.sink] == 0:
                 order.append(edge.sink)
-    if len(order) != n:
+    return zero_succs, (order if len(order) == n else None)
+
+
+def try_modulo_schedule(
+    ops: List[MachineOp],
+    edges: List[SchedEdge],
+    ii: int,
+) -> Optional[Tuple[List[int], int]]:
+    """Greedy placement in zero-distance topological order, then a full
+    verification of every edge; returns (times, work) or None."""
+    n = len(ops)
+    _, order = _distance0_dag(n, edges)
+    if order is None:
         return None  # distance-0 cycle: malformed graph
 
     preds: List[List[SchedEdge]] = [[] for _ in range(n)]
@@ -228,15 +235,66 @@ def try_modulo_schedule(
     return final_times, work
 
 
+def recurrence_mii(ops: List[MachineOp], edges: List[SchedEdge]) -> int:
+    """Lower bound on II from loop-carried recurrences (0: none found).
+
+    A carried edge u->v (delay d, distance k) closes a cycle with any
+    distance-0 path v ~> u of total delay L.  The probe's final edge
+    check demands t(u) >= t(v) + L along the path and
+    t(v) + II * k >= t(u) + d across the carried edge, so every II it
+    accepts has II * k >= L + d.  Taking the longest such L gives
+    ceil((L + d) / k); the bound is the largest of these.
+    """
+    n = len(ops)
+    zero_succs, order = _distance0_dag(n, edges)
+    if order is None:
+        return 0  # distance-0 cycle: every probe fails; claim nothing
+    position = {node: index for index, node in enumerate(order)}
+    carried_into: Dict[int, List[SchedEdge]] = {}
+    for edge in edges:
+        if edge.distance > 0:
+            carried_into.setdefault(edge.sink, []).append(edge)
+
+    bound = 0
+    for start, carried in carried_into.items():
+        # Longest distance-0 path from ``start`` to every node after it.
+        longest: List[Optional[int]] = [None] * n
+        longest[start] = 0
+        for node in order[position[start]:]:
+            length = longest[node]
+            if length is None:
+                continue
+            for edge in zero_succs[node]:
+                reach = length + edge.delay
+                if longest[edge.sink] is None or reach > longest[edge.sink]:
+                    longest[edge.sink] = reach
+        for edge in carried:
+            length = longest[edge.source]
+            if length is not None:
+                bound = max(bound, -(-(length + edge.delay) // edge.distance))
+    return bound
+
+
 def find_modulo_schedule(
     ops: List[MachineOp],
     edges: List[SchedEdge],
     max_ii: int,
+    floor: int = 2,
 ) -> Optional[ModuloSchedule]:
-    """Search II upward from ResMII; None if no II below ``max_ii`` works."""
-    total_work = 0
-    start = max(2, resource_mii(ops))  # II >= 2: the kernel needs its
-    # countdown to land before the kernel branch reads it.
+    """Search II upward from max(floor, ResMII, RecMII, 2); None if no II
+    up to ``max_ii`` works.  II >= 2: the kernel needs its countdown to
+    land before the kernel branch reads it.
+
+    Every II below RecMII fails the probe for certain, so it is skipped
+    but charged as the failed probe it would have been: the chosen II,
+    its times and ``work_units`` equal those of a linear search from
+    ResMII.
+    """
+    first = max(floor, resource_mii(ops), 2)
+    start = max(first, recurrence_mii(ops, edges))
+    total_work = sum(
+        len(ops) * ii for ii in range(first, min(start, max_ii + 1))
+    )
     for ii in range(start, max_ii + 1):
         result = try_modulo_schedule(ops, edges, ii)
         if result is None:

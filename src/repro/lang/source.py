@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -74,14 +75,10 @@ class SourceFile:
         if offset < 0 or offset > len(self.text):
             raise ValueError(f"offset {offset} out of range for {self.filename!r}")
         starts = self.line_starts()
-        lo, hi = 0, len(starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return Position(line=lo + 1, column=offset - starts[lo] + 1, offset=offset)
+        line = bisect_right(starts, offset)  # starts[0] == 0 <= offset
+        return Position(
+            line=line, column=offset - starts[line - 1] + 1, offset=offset
+        )
 
     def line_text(self, line: int) -> str:
         """The text of the given 1-based line, without the newline."""

@@ -16,7 +16,7 @@ in phase 2 of the paper's compiler (§3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.cfg import BasicBlock, FunctionIR
 from ..ir.instructions import Instr, Opcode
@@ -50,13 +50,20 @@ class DependenceGraph:
 
     instructions: List[Instr]
     edges: List[DependenceEdge] = field(default_factory=list)
+    _seen: Set[DependenceEdge] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._seen.update(self.edges)
 
     def successors(self, index: int) -> List[DependenceEdge]:
         return [e for e in self.edges if e.source == index]
 
     def add(self, source: int, sink: int, kind: str, distance: int) -> None:
         edge = DependenceEdge(source, sink, kind, distance)
-        if edge not in self.edges:
+        if edge not in self._seen:
+            self._seen.add(edge)
             self.edges.append(edge)
 
 

@@ -71,11 +71,13 @@ def _one_round(function: FunctionIR) -> int:
     nest = find_loops(function)
     defs_count = _definition_counts(function)
     uses_outside: Dict[VReg, Set[str]] = _use_blocks(function)
+    # Hoisting moves only non-terminators, so the CFG holds for the round.
+    preds = function.predecessors()
     moved = 0
     # Innermost first: their invariants may bubble outward next round.
     loops = sorted(nest.all_loops(), key=lambda l: -l.depth)
     for loop in loops:
-        preheader = _preheader_of(function, loop)
+        preheader = _preheader_of(function, preds, loop)
         if preheader is None:
             continue
         moved += _hoist_from_loop(
@@ -101,9 +103,10 @@ def _use_blocks(function: FunctionIR) -> Dict[VReg, Set[str]]:
     return uses
 
 
-def _preheader_of(function: FunctionIR, loop: Loop) -> Optional[BasicBlock]:
-    preds = function.predecessors()[loop.header]
-    outside = [p for p in preds if p not in loop.blocks]
+def _preheader_of(
+    function: FunctionIR, preds: Dict[str, List[str]], loop: Loop
+) -> Optional[BasicBlock]:
+    outside = [p for p in preds[loop.header] if p not in loop.blocks]
     if len(outside) != 1:
         return None
     preheader = function.block_named(outside[0])

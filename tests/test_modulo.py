@@ -87,7 +87,11 @@ class TestScheduleSearch:
 
     def test_infeasible_max_ii_returns_none(self):
         ops, edges = body_ops_and_edges(ACC_LOOP)
-        assert find_modulo_schedule(ops, edges, max_ii=2) is None or True
+        schedule = find_modulo_schedule(ops, edges, max_ii=100)
+        assert schedule.ii > 2  # the accumulator recurrence rules out 2
+        assert find_modulo_schedule(ops, edges, max_ii=2) is None
+        assert find_modulo_schedule(ops, edges, max_ii=schedule.ii - 1) is None
+        assert find_modulo_schedule(ops, edges, max_ii=schedule.ii) == schedule
         # (a max_ii of 1 is always infeasible since search starts at 2)
         assert find_modulo_schedule(ops, edges, max_ii=1) is None
 
